@@ -86,7 +86,7 @@ object ZeroER {
 
   /** Run end-to-end; None if the time budget is exhausted. */
   def run(s1: DataFrame, s2: DataFrame, groundTruth: DataFrame,
-          budgetSecs: Double = 60.0, cap: Int = 500): Option[Result] = {
+          budgetSecs: Double, cap: Int = 500): Option[Result] = {
     val spark = s1.sparkSession
     import spark.implicits._
     val t0 = System.nanoTime()

@@ -45,13 +45,18 @@ object LshAnnBlocker extends Serializable {
   }
 
   /** Approximate k-NN over a single collection (Dirty ER): returns
-    * (qid, nid, dist, rank) with qid != nid.
+    * (qid, nid, dist, rank) with qid != nid; empty for an empty collection.
     */
   def topK(entities: DataFrame, k: Int, tables: Int = 8, bits: Int = 10,
            seed: Long = 42L): DataFrame = {
     require(k > 0 && tables > 0 && bits > 0 && bits <= 30, "bad LSH parameters")
+    val spark = entities.sparkSession
+    import spark.implicits._
 
-    val dim = entities.select("vec").head.getSeq[Float](0).length
+    val first = entities.select("vec").head(1)
+    if (first.isEmpty)
+      return spark.emptyDataset[(Long, Long, Double, Int)].toDF("qid", "nid", "dist", "rank")
+    val dim = first(0).getSeq[Float](0).length
     val planes = hyperplanes(dim, tables, bits, seed)
 
     val sigUdf = udf { (v: Seq[Float]) => signatures(v.toArray, planes, tables, bits) }

@@ -1,10 +1,10 @@
 package repro.core
 
-import org.apache.spark.sql.SparkSession
+import org.apache.spark.sql.{DataFrame, SparkSession}
 import repro.blocking.ExactKnnBlocker
 import repro.data.{CleanProfile, ERSynth}
 import repro.embed.Vectorizer
-import repro.matching.UniqueMappingClustering
+import repro.matching.{Similarity, UniqueMappingClustering}
 
 /** Shared measurement harness for the effectiveness/efficiency benches.
   *
@@ -26,11 +26,16 @@ object Harness {
       side1Smaller: Boolean,
       smallSize: Long) {
 
+    /** A (query, neighbour) pair as (side1 id, side2 id). */
+    private[core] def canon(q: Long, n: Long): (Long, Long) = if (side1Smaller) (q, n) else (n, q)
+
+    /** (qid, nid, sim) of every neighbour, the input of UMC. */
+    private[core] def scored: Array[(Long, Long, Double)] =
+      neighbours.map { case (q, n, d, _) => (q, n, Similarity.sim(d)) }
+
     /** Candidate pairs canonicalized to (side1, side2) at a given k. */
     def candidatePairs(k: Int): Set[(Long, Long)] =
-      neighbours.iterator.filter(_._4 <= k)
-        .map { case (q, n, _, _) => if (side1Smaller) (q, n) else (n, q) }
-        .toSet
+      neighbours.iterator.filter(_._4 <= k).map { case (q, n, _, _) => canon(q, n) }.toSet
 
     /** Blocking recall (pairs completeness) at k. */
     def recallAt(k: Int): Double = {
@@ -42,15 +47,15 @@ object Harness {
       * (bestDelta, precision, recall, f1, umcSecs).
       */
     def umcBest(): (Double, Double, Double, Double, Double) = {
-      val scored = neighbours.map { case (q, n, d, _) => (q, n, 1.0 / (1.0 + d)) }
+      val pairs = scored
       val t0 = System.nanoTime()
-      val sweep = UniqueMappingClustering.sweep(scored, smallSize)
+      val sweep = UniqueMappingClustering.sweep(pairs, smallSize)
       val secs = (System.nanoTime() - t0) / 1e9
-      val canon = sweep.map(m =>
-        UniqueMappingClustering.Match(
-          if (side1Smaller) m.id1 else m.id2,
-          if (side1Smaller) m.id2 else m.id1, m.sim))
-      val (d, p, r, f1) = UniqueMappingClustering.bestThreshold(canon, gt)
+      val canonical = sweep.map { m =>
+        val (a, b) = canon(m.id1, m.id2)
+        UniqueMappingClustering.Match(a, b, m.sim)
+      }
+      val (d, p, r, f1) = UniqueMappingClustering.bestThreshold(canonical, gt)
       (d, p, r, f1, secs)
     }
   }
@@ -70,11 +75,25 @@ object Harness {
 
   /** Full run for one (model, dataset). */
   def runOne(spark: SparkSession, p: CleanProfile, modelCode: String, kMax: Int = 64): Run = {
-    import spark.implicits._
     val s1 = ERSynth.source(spark, p, 1).cache(); s1.count()
     val s2 = ERSynth.source(spark, p, 2).cache(); s2.count()
     Vectorizer.runtime(modelCode)
+    val run = knn(p, s1, s2, ERSynth.groundTruth(spark, p), modelCode, kMax)
+    s1.unpersist(); s2.unpersist()
+    run
+  }
 
+  /** The one vectorize → exact k-NN step of every Clean-Clean path: embeds
+    * both sources with the `#1`/`#2` noise tags (so a (model, dataset) has
+    * the same vectors in every table), lets the smaller side query the
+    * larger one (paper §4.3) for its `kMax` nearest, and collects the
+    * ground truth. It caches only the vectors it creates; the frames it is
+    * handed are neither cached, counted nor unpersisted.
+    */
+  private[core] def knn(p: CleanProfile, s1: DataFrame, s2: DataFrame, gt: DataFrame,
+                        modelCode: String, kMax: Int): Run = {
+    val spark = s1.sparkSession
+    import spark.implicits._
     val tv = System.nanoTime()
     val v1 = Vectorizer.vectorize(s1, modelCode, s"${p.name}#1").cache(); v1.count()
     val v2 = Vectorizer.vectorize(s2, modelCode, s"${p.name}#2").cache(); v2.count()
@@ -88,8 +107,8 @@ object Harness {
       .select("qid", "nid", "dist", "rank").as[(Long, Long, Double, Int)].collect()
     val blockSecs = (System.nanoTime() - tb) / 1e9
 
-    val gt = ERSynth.groundTruth(spark, p).as[(Long, Long)].collect().toSet
-    v1.unpersist(); v2.unpersist(); s1.unpersist(); s2.unpersist()
-    Run(modelCode, p.name, vecSecs, blockSecs, nb, gt, side1Smaller, math.min(p.v1, p.v2).toLong)
+    val gtSet = gt.select("id1", "id2").as[(Long, Long)].collect().toSet
+    v1.unpersist(); v2.unpersist()
+    Run(modelCode, p.name, vecSecs, blockSecs, nb, gtSet, side1Smaller, math.min(p.v1, p.v2).toLong)
   }
 }

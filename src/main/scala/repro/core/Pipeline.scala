@@ -1,10 +1,8 @@
 package repro.core
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
-import repro.blocking.ExactKnnBlocker
 import repro.data.{CleanProfile, ERSynth}
 import repro.matching.{MatchMetrics, UniqueMappingClustering}
-import repro.embed.Vectorizer
 
 /** The paper's end-to-end, parameter- and learning-free ER pipeline
   * (§5.2 "Comparison to SotA"): vectorize both sources with a language
@@ -28,30 +26,13 @@ object Pipeline {
 
   def runOnSources(spark: SparkSession, p: CleanProfile, s1: DataFrame, s2: DataFrame,
                    gt: DataFrame, modelCode: String, k: Int, delta: Double): Result = {
-    import spark.implicits._
-
-    val t0 = System.nanoTime()
-    val v1 = Vectorizer.vectorize(s1, modelCode, s"${p.name}#1").cache()
-    val v2 = Vectorizer.vectorize(s2, modelCode, s"${p.name}#2").cache()
-    v1.count(); v2.count()
-
-    // the smaller collection queries the larger one (paper §4.3)
-    val side1Smaller = p.v1 <= p.v2
-    val (queries, index) = if (side1Smaller) (v1, v2) else (v2, v1)
-    val top = ExactKnnBlocker.topK(queries, index, k)
-      .select("qid", "nid", "dist").as[(Long, Long, Double)].collect()
-    val prepSecs = (System.nanoTime() - t0) / 1e9
-
+    val nn = Harness.knn(p, s1, s2, gt, modelCode, k)
     val t1 = System.nanoTime()
-    val scored = top.map { case (q, n, d) => (q, n, 1.0 / (1.0 + d)) }
-    val matches = UniqueMappingClustering.cluster(scored, delta, math.min(p.v1, p.v2).toLong)
-    // canonicalize to (side1 id, side2 id) regardless of query direction
-    val predicted = matches.map(m => if (side1Smaller) (m.id1, m.id2) else (m.id2, m.id1)).toSet
+    val matches = UniqueMappingClustering.cluster(nn.scored, delta, nn.smallSize)
+    val predicted = matches.map(m => nn.canon(m.id1, m.id2)).toSet
     val matchSecs = (System.nanoTime() - t1) / 1e9
 
-    val gtSet = gt.select("id1", "id2").as[(Long, Long)].collect().toSet
-    val (pr, re, f1) = MatchMetrics.prf(predicted, gtSet)
-    v1.unpersist(); v2.unpersist()
-    Result(pr, re, f1, prepSecs, matchSecs, top.length.toLong)
+    val (pr, re, f1) = MatchMetrics.prf(predicted, nn.gt)
+    Result(pr, re, f1, nn.vecSecs + nn.blockSecs, matchSecs, nn.neighbours.length.toLong)
   }
 }

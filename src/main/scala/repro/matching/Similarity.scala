@@ -1,25 +1,10 @@
 package repro.matching
 
-import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.functions._
-
 /** Similarity scoring over candidate pairs (paper §4.3):
   * sim(e_i, e_j) = 1 / (1 + dist(v_i, v_j)) with Euclidean dist.
   */
 object Similarity {
 
-  /** Add a `sim` column to a frame carrying a `dist` column. */
-  def withSim(pairs: DataFrame): DataFrame =
-    pairs.withColumn("sim", lit(1.0) / (lit(1.0) + col("dist")))
-
-  /** Driver-side scored pairs (qid, nid, sim), descending by sim. */
-  def collectScored(pairsWithDist: DataFrame): Array[(Long, Long, Double)] = {
-    val spark = pairsWithDist.sparkSession
-    import spark.implicits._
-    withSim(pairsWithDist)
-      .select("qid", "nid", "sim")
-      .as[(Long, Long, Double)]
-      .collect()
-      .sortBy(-_._3)
-  }
+  /** The score of a candidate pair at Euclidean distance `dist`, in (0, 1]. */
+  def sim(dist: Double): Double = 1.0 / (1.0 + dist)
 }

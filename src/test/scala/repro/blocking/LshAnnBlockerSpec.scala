@@ -49,6 +49,14 @@ class LshAnnBlockerSpec extends SparkSpec {
     intercept[IllegalArgumentException](LshAnnBlocker.topK(df, 1, bits = 31))
   }
 
+  test("topK of an empty collection is an empty (qid, nid, dist, rank) frame") {
+    import spark.implicits._
+    val empty = Seq.empty[(Long, Array[Float])].toDF("id", "vec")
+    val top = LshAnnBlocker.topK(empty, 3)
+    assert(top.columns.toSeq == Seq("qid", "nid", "dist", "rank"))
+    assert(top.as[(Long, Long, Double, Int)].collect().isEmpty)
+  }
+
   test("topK excludes self-pairs and respects k") {
     val ents = FebrlSynth.entities(spark, 120)
     val vecs = Vectorizer.vectorize(ents, "SM", "lsh-test")

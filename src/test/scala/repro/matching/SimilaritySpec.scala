@@ -1,31 +1,14 @@
 package repro.matching
 
-import repro.SparkSpec
+import org.scalatest.funsuite.AnyFunSuite
 
-class SimilaritySpec extends SparkSpec {
-
-  test("withSim adds the paper's 1/(1+dist) score") {
-    import spark.implicits._
-    val df = Seq((1L, 2L, 0.0), (1L, 3L, 1.0), (2L, 3L, 3.0)).toDF("qid", "nid", "dist")
-    val sims = Similarity.withSim(df).select("qid", "nid", "sim")
-      .as[(Long, Long, Double)].collect().map { case (a, b, s) => (a, b) -> s }.toMap
-    assert(sims((1L, 2L)) == 1.0)
-    assert(sims((1L, 3L)) == 0.5)
-    assert(sims((2L, 3L)) == 0.25)
-  }
-
-  test("collectScored sorts descending by sim") {
-    import spark.implicits._
-    val df = Seq((1L, 2L, 2.0), (1L, 3L, 0.5), (2L, 3L, 1.0)).toDF("qid", "nid", "dist")
-    val scored = Similarity.collectScored(df)
-    assert(scored.map(_._3).toSeq == scored.map(_._3).sorted(Ordering[Double].reverse).toSeq)
-    assert(scored.head._2 == 3L && scored.head._1 == 1L)
-  }
+class SimilaritySpec extends AnyFunSuite {
 
   test("sim is bounded in (0, 1]") {
-    import spark.implicits._
-    val df = Seq((1L, 2L, 1e9), (1L, 3L, 0.0)).toDF("qid", "nid", "dist")
-    val sims = Similarity.collectScored(df).map(_._3)
+    assert(Similarity.sim(0.0) == 1.0)
+    assert(Similarity.sim(1.0) == 0.5)
+    assert(Similarity.sim(3.0) == 0.25)
+    val sims = Seq(1e9, 0.0).map(Similarity.sim)
     assert(sims.forall(s => s > 0 && s <= 1))
   }
 
