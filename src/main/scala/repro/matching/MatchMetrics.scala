@@ -4,11 +4,16 @@ package repro.matching
 object MatchMetrics {
 
   /** (precision, recall, f1); empty predictions ⇒ p = 0. */
-  def prf(predicted: Set[(Long, Long)], groundTruth: Set[(Long, Long)]): (Double, Double, Double) = {
-    if (groundTruth.isEmpty) return (if (predicted.isEmpty) 1.0 else 0.0, 1.0, if (predicted.isEmpty) 1.0 else 0.0)
-    val tp = predicted.count(groundTruth.contains)
-    val p  = if (predicted.isEmpty) 0.0 else tp.toDouble / predicted.size
-    val r  = tp.toDouble / groundTruth.size
+  def prf(predicted: Set[(Long, Long)], groundTruth: Set[(Long, Long)]): (Double, Double, Double) =
+    prf(predicted.count(groundTruth.contains), predicted.size, groundTruth.size)
+
+  /** (precision, recall, f1) from the counts of true positives, predicted
+    * pairs and ground-truth pairs.
+    */
+  def prf(tp: Int, nPredicted: Int, nTruth: Int): (Double, Double, Double) = {
+    if (nTruth == 0) return (if (nPredicted == 0) 1.0 else 0.0, 1.0, if (nPredicted == 0) 1.0 else 0.0)
+    val p  = if (nPredicted == 0) 0.0 else tp.toDouble / nPredicted
+    val r  = tp.toDouble / nTruth
     val f1 = if (p + r == 0) 0.0 else 2 * p * r / (p + r)
     (p, r, f1)
   }

@@ -73,6 +73,31 @@ class UMCSpec extends AnyFunSuite with PropSupport {
     assert(f1 > 0.79 && f1 < 0.81)
   }
 
+  /** The 19-set bestThreshold that the one-pass version replaced. */
+  private def bestThresholdBySets(sweepMatches: Vector[M], groundTruth: Set[(Long, Long)]) = {
+    var best = (0.05, 0.0, 0.0, -1.0)
+    for (d <- (1 to 19).map(_ * 0.05)) {
+      val predicted = sweepMatches.filter(_.sim >= d).map(m => (m.id1, m.id2)).toSet
+      val (p, r, f1) = MatchMetrics.prf(predicted, groundTruth)
+      if (f1 > best._4) best = (d, p, r, f1)
+    }
+    best
+  }
+
+  test("property: one-pass bestThreshold equals the 19-set version") {
+    // similarities on the δ grid itself as well as between grid points
+    val sim = Gen.oneOf(Gen.choose(1, 19).map(_ * 0.05), Gen.choose(0.0, 1.0))
+    val pair = for { a <- Gen.choose(0L, 15L); b <- Gen.choose(100L, 115L); s <- sim } yield (a, b, s)
+    val gen = for {
+      ps <- Gen.listOfN(50, pair)
+      truth <- Gen.listOf(for { a <- Gen.choose(0L, 15L); b <- Gen.choose(100L, 115L) } yield (a, b))
+    } yield (ps, truth.toSet)
+    checkProp(Prop.forAll(gen) { case (ps, truth) =>
+      val sweep = UniqueMappingClustering.sweep(ps)
+      UniqueMappingClustering.bestThreshold(sweep, truth) == bestThresholdBySets(sweep, truth)
+    }, "one-pass vs 19 sets")
+  }
+
   test("bestThreshold on empty sweep yields zero F1") {
     val (_, _, _, f1) = UniqueMappingClustering.bestThreshold(Vector.empty, Set((1L, 2L)))
     assert(f1 == 0.0)
