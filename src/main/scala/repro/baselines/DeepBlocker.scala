@@ -1,6 +1,6 @@
 package repro.baselines
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.expressions.Window
 import org.apache.spark.sql.functions._
 import repro.blocking.ExactKnnBlocker
@@ -119,7 +119,7 @@ object DeepBlocker {
     // 3. Self-supervision: auto-labelled positives (entity vs its token
     //    dropout) and negatives (random entity pairs)
     val selfSample = index.select("id", "sentence").as[(Long, String)].take(600)
-    val feats = selfSample.zipWithIndex.flatMap { case ((id, s), i) =>
+    val feats = selfSample.flatMap { case (id, s) =>
       val v  = encode(w, Vectorizer.embed("FT", s, Det.seed(seed, 3L, id)))
       val vp = encode(w, Vectorizer.embed("FT", dropout(s, Det.seed(seed, 4L, id)), Det.seed(seed, 5L, id)))
       val (jid, js) = selfSample(Det.nextInt(Det.seed(seed, 6L, id), selfSample.length))

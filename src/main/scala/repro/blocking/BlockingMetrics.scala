@@ -1,7 +1,6 @@
 package repro.blocking
 
 import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.functions._
 
 /** Blocking effectiveness measures (paper §5.1).
   *

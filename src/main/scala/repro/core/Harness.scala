@@ -27,7 +27,7 @@ object Harness {
       smallSize: Long) {
 
     /** A (query, neighbour) pair as (side1 id, side2 id). */
-    private[core] def canon(q: Long, n: Long): (Long, Long) = if (side1Smaller) (q, n) else (n, q)
+    private[core] def canon(q: Long, n: Long): (Long, Long) = Harness.canon(side1Smaller, q, n)
 
     /** (qid, nid, sim) of every neighbour, the input of UMC. */
     private[core] def scored: Array[(Long, Long, Double)] =
@@ -60,6 +60,18 @@ object Harness {
     }
   }
 
+  /** The query rule of every Clean-Clean path (paper §4.3): the smaller
+    * source queries the larger one, source 1 on a tie. Returns the two
+    * sources as (queries, index) and whether source 1 queries, which
+    * `canon` takes to turn their pairs back into (side1, side2) order.
+    */
+  private[core] def querySides[A](p: CleanProfile, s1: A, s2: A): (A, A, Boolean) =
+    if (p.v1 <= p.v2) (s1, s2, true) else (s2, s1, false)
+
+  /** A (query id, index id) pair as (side1 id, side2 id). */
+  private[core] def canon(side1Queries: Boolean, q: Long, n: Long): (Long, Long) =
+    if (side1Queries) (q, n) else (n, q)
+
   /** Vectorization time of both sources of `p` for `modelCode` (Table 4). */
   def vectorizationSecs(spark: SparkSession, p: CleanProfile, modelCode: String): Double = {
     val s1 = ERSynth.source(spark, p, 1).cache(); s1.count()
@@ -85,8 +97,8 @@ object Harness {
 
   /** The one vectorize → exact k-NN step of every Clean-Clean path: embeds
     * both sources with the `#1`/`#2` noise tags (so a (model, dataset) has
-    * the same vectors in every table), lets the smaller side query the
-    * larger one (paper §4.3) for its `kMax` nearest, and collects the
+    * the same vectors in every table), lets the query side of `querySides`
+    * find its `kMax` nearest in the other, and collects the
     * ground truth. It caches only the vectors it creates; the frames it is
     * handed are neither cached, counted nor unpersisted.
     */
@@ -99,8 +111,7 @@ object Harness {
     val v2 = Vectorizer.vectorize(s2, modelCode, s"${p.name}#2").cache(); v2.count()
     val vecSecs = (System.nanoTime() - tv) / 1e9
 
-    val side1Smaller = p.v1 <= p.v2
-    val (queries, index) = if (side1Smaller) (v1, v2) else (v2, v1)
+    val (queries, index, side1Smaller) = querySides(p, v1, v2)
     val k = math.min(kMax, math.max(p.v1, p.v2))
     val tb = System.nanoTime()
     val nb = ExactKnnBlocker.topK(queries, index, k)

@@ -5,7 +5,7 @@ import org.apache.spark.sql.functions._
 import repro.baselines.{DeepBlocker, ZeroER}
 import repro.blocking.BlockingMetrics
 import repro.data.{DatasetProfiles, ERSynth, FebrlSynth, SupervisedSynth}
-import repro.embed.{ModelRegistry, ModelSpec, Vectorizer}
+import repro.embed.{Family, ModelRegistry, ModelSpec, Vectorizer}
 import repro.matching.supervised.SupervisedMatcher
 
 /** Every paper table (and the effectiveness matrix behind Figures 3/4/8),
@@ -205,6 +205,7 @@ object Tables {
     * datasets and both are ~perfect on D1/D4.
     */
   def table5a(spark: SparkSession, names: Seq[String]): Report = {
+    import spark.implicits._
     val scale = DatasetProfiles.benchScale
     val ks = Seq(1, 5, 10)
     val runs = clean(names).map { p0 =>
@@ -212,12 +213,11 @@ object Tables {
       val s1 = cached(ERSynth.source(spark, p, 1))
       val s2 = cached(ERSynth.source(spark, p, 2))
       val gt = ERSynth.groundTruth(spark, p)
-      val side1Smaller = p.v1 <= p.v2
-      val (q, i) = if (side1Smaller) (s1, s2) else (s2, s1)
+      val (q, i, side1Queries) = Harness.querySides(p, s1, s2)
       val db = ks.map(k => DeepBlocker.block(q, i, k, tag = s"t5a-${p0.name}-$k"))
-      val dbCands = db.last.candidates
-      val dbRec10 = BlockingMetrics.recall(
-        if (side1Smaller) dbCands else dbCands.select(col("id2").as("id1"), col("id1").as("id2")), gt)
+      val dbCands = db.last.candidates.as[(Long, Long)]
+        .map { case (a, b) => Harness.canon(side1Queries, a, b) }.toDF("id1", "id2")
+      val dbRec10 = BlockingMetrics.recall(dbCands, gt)
       val s5 = ks.map(k => Harness.knn(p, s1, s2, gt, "S5", k))
       s1.unpersist(); s2.unpersist()
       (p0.name, db.map(_.secs), s5.map(r => r.vecSecs + r.blockSecs), dbRec10, s5.last.recallAt(10))
@@ -285,7 +285,7 @@ object Tables {
     }
     val train = results.map { case (c, rs, _) => c -> rs.map(_.trainSecs).sum }.toMap
     val f1 = results.map { case (c, rs, _) => c -> rs.map(_.f1).sum / dsms.size }.toMap
-    val dynamic = codes(models.filterNot(_.isStatic))
+    val dynamic = codes(models.filter(_.family != Family.Static))
     val dynF1 = dynamic.map(f1).sum / dynamic.size
     Report("Table 6 — supervised matching t_t / t_e / F1 per dataset, and the chosen epoch",
       (Seq("model") ++ dsms.flatMap(p => Seq(s"${p.name} t_t", "t_e", "F1")) ++ dsms.map(p => s"${p.name} epoch"))
@@ -321,18 +321,20 @@ object Tables {
     val (rec, f1) = (mean(_._2), mean(_._3))
     val avgRows = models.map(c => Seq("avg", c, "-", "-", Tab.f(rec(c)), "-", "-", "-", Tab.f(f1(c)), "-", "-"))
 
-    def avg(ms: Seq[ModelSpec], m: Map[String, Double]) = ms.map(x => m(x.code)).sum / ms.size
-    def above(name: String, m: Map[String, Double], a: Seq[ModelSpec], an: String, b: Seq[ModelSpec], bn: String) =
-      Check(name, avg(a, m) > avg(b, m), vs(an, avg(a, m), bn, avg(b, m)))
-    val (sbert, static, bert) = (ModelRegistry.sbertModels, ModelRegistry.staticModels, ModelRegistry.bertModels)
-    val bertRec = codes(bert).map(rec)
+    def avg(f: Family, m: Map[String, Double]) = {
+      val cs = codes(ModelRegistry.ofFamily(f))
+      cs.map(m).sum / cs.size
+    }
+    def above(name: String, m: Map[String, Double], a: Family, b: Family) =
+      Check(name, avg(a, m) > avg(b, m), vs(a.toString, avg(a, m), b.toString, avg(b, m)))
+    val bertRec = codes(ModelRegistry.bertModels).map(rec)
     Report(s"Figures 3/8 data, with per-model averages of Figures 4/9 (scale=$scale)",
       Seq("ds", "model", "rec@1", "rec@5", "rec@10", "delta", "P", "R", "F1", "vec s", "block s") +:
         (runs.map(_._4) ++ avgRows), Seq(
-        above("SBERT > static on blocking recall", rec, sbert, "SBERT", static, "static"),
-        above("static > BERT on blocking recall", rec, static, "static", bert, "BERT"),
-        above("SBERT > static on UMC F1", f1, sbert, "SBERT", static, "static"),
-        above("static > BERT on UMC F1", f1, static, "static", bert, "BERT"),
+        above("SBERT > static on blocking recall", rec, Family.SBert, Family.Static),
+        above("static > BERT on blocking recall", rec, Family.Static, Family.Bert),
+        above("SBERT > static on UMC F1", f1, Family.SBert, Family.Static),
+        above("static > BERT on UMC F1", f1, Family.Static, Family.Bert),
         Check("S-GTR-T5 at/near the top",
           rec("S5") == rec.values.max || f1("S5") == f1.values.max || rec("S5") >= rec.values.max - 0.02,
           s"${vs("S5 rec@10", rec("S5"), "max", rec.values.max)}; ${vs("S5 F1", f1("S5"), "max", f1.values.max)}"),

@@ -152,8 +152,8 @@ object ERSynth extends Serializable {
     import org.apache.spark.sql.functions._
     val s1 = source(spark, p, 1)
     val s2 = source(spark, p, 2)
-    val totalLen = s1.agg(sum(length(col("sentence")))).head.getLong(0) +
-                   s2.agg(sum(length(col("sentence")))).head.getLong(0)
+    val totalLen = s1.agg(sum(length(col("sentence")))).head().getLong(0) +
+                   s2.agg(sum(length(col("sentence")))).head().getLong(0)
     val avg = totalLen.toDouble / (p.v1 + p.v2)
     (p.v1.toLong, p.v2.toLong, p.a1, p.a2, p.dups.toLong, avg)
   }

@@ -110,7 +110,6 @@ object SupervisedSynth extends Serializable {
 
   /** All pairs with their split, deterministically shuffled. */
   def pairs(spark: SparkSession, p: DsmProfile): DataFrame = {
-    import spark.implicits._
     val order = (0L until p.totalPairs.toLong)
       .sortBy(i => Det.uniform(Det.seedStr(p.name, 0xabcL, i)))
     val rows = order.zipWithIndex.map { case (i, rank) =>

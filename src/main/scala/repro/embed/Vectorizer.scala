@@ -1,7 +1,7 @@
 package repro.embed
 
 import java.util.concurrent.ConcurrentHashMap
-import org.apache.spark.sql.{DataFrame, Dataset, SparkSession}
+import org.apache.spark.sql.DataFrame
 import repro.data.Lexicon
 import repro.util.Det
 
@@ -17,9 +17,6 @@ final class ModelRuntime(val spec: ModelSpec) {
     */
   val effLayers: Int =
     if (spec.layers == 0) 0 else math.max(1, math.round(spec.layers * spec.costFactor).toInt)
-
-  /** Token dimensionality before signal projection (full dim). */
-  val tokDim: Int = spec.dim
 
   /** Vocabulary hash table: maps a token hash bucket to a seed. Static
     * models load large dictionaries (FastText's n-gram table dominates);
@@ -42,8 +39,8 @@ final class ModelRuntime(val spec: ModelSpec) {
   val (layerA, layerB): (Array[Float], Array[Float]) =
     if (effLayers == 0) (Array.empty[Float], Array.empty[Float])
     else {
-      val a = new Array[Float](effLayers * tokDim)
-      val b = new Array[Float](effLayers * tokDim)
+      val a = new Array[Float](effLayers * spec.dim)
+      val b = new Array[Float](effLayers * spec.dim)
       var i = 0
       while (i < a.length) {
         val theta = Det.uniform(Det.seedStr(spec.code, 0xfadeL, i.toLong)) * 2.0 * math.Pi
@@ -62,7 +59,7 @@ final class ModelRuntime(val spec: ModelSpec) {
     if (spec.layers == 0) 0L
     else {
       val paramsM = if (spec.paramsM > 0) spec.paramsM else 80 // S-DistilRoBERTa ~82M
-      val extra   = if (spec.family == "sbert") 15_000L else 0L
+      val extra   = spec.family match { case Family.SBert => 15_000L; case Family.Static | Family.Bert => 0L }
       val rounds  = 4_000_000L + paramsM * (30_000L + extra)
       var z = Det.strHash(spec.code)
       var r = 0L
@@ -71,14 +68,15 @@ final class ModelRuntime(val spec: ModelSpec) {
     }
   }
 
-  /** Token-level cache for dictionary-lookup models (Word2Vec / GloVe):
-    * real static models are fast because vectorization IS a table lookup.
+  /** Token-level cache for the word-mode models (Word2Vec / GloVe): real
+    * static models are fast because vectorization IS a table lookup.
     * FastText and the dynamic models recompute per occurrence (n-gram
     * summation / transformer pass) — that is their cost signature.
     */
-  val wordCache: ConcurrentHashMap[String, Array[Float]] =
-    if (spec.isStatic && spec.tokenMode == "word") new ConcurrentHashMap[String, Array[Float]](1 << 14)
-    else null
+  val wordCache: ConcurrentHashMap[String, Array[Float]] = spec.tokenMode match {
+    case TokenMode.Word => new ConcurrentHashMap[String, Array[Float]](1 << 14)
+    case TokenMode.Ngram | TokenMode.Mixed => null
+  }
 }
 
 /** Vectorization: entity sentence → dense embedding (DESIGN.md §4). */
@@ -113,17 +111,12 @@ object Vectorizer extends Serializable {
 
   private def addWordVec(rt: ModelRuntime, token: String, acc: Array[Float]): Unit = {
     val cache = rt.wordCache
-    if (cache != null) {
-      var v = cache.get(token)
-      if (v == null) {
-        v = Det.uniformVec(tokenSeed(rt, knownSurface(rt, token)), rt.tokDim)
-        if (cache.size < (1 << 18)) cache.put(token, v)
-      }
-      var i = 0; while (i < acc.length) { acc(i) += v(i); i += 1 }
-    } else {
-      val v = Det.uniformVec(tokenSeed(rt, knownSurface(rt, token)), rt.tokDim)
-      var i = 0; while (i < acc.length) { acc(i) += v(i); i += 1 }
+    var v = if (cache != null) cache.get(token) else null
+    if (v == null) {
+      v = Det.uniformVec(tokenSeed(rt, knownSurface(rt, token)), rt.spec.dim)
+      if (cache != null && cache.size < (1 << 18)) cache.put(token, v)
     }
+    var i = 0; while (i < acc.length) { acc(i) += v(i); i += 1 }
   }
 
   private def addNgramVec(rt: ModelRuntime, token: String, acc: Array[Float], weight: Float): Unit = {
@@ -131,7 +124,7 @@ object Vectorizer extends Serializable {
     val inv   = weight / grams.length
     var g = 0
     while (g < grams.length) {
-      val v = Det.uniformVec(tokenSeed(rt, grams(g)), rt.tokDim)
+      val v = Det.uniformVec(tokenSeed(rt, grams(g)), rt.spec.dim)
       var i = 0; while (i < acc.length) { acc(i) += v(i) * inv; i += 1 }
       g += 1
     }
@@ -143,11 +136,11 @@ object Vectorizer extends Serializable {
     */
   private def tokenVec(rt: ModelRuntime, token: String): Array[Float] = {
     val spec = rt.spec
-    val v = new Array[Float](rt.tokDim)
+    val v = new Array[Float](spec.dim)
     spec.tokenMode match {
-      case "word"  => addWordVec(rt, token, v)
-      case "ngram" => addNgramVec(rt, token, v, 1.0f)
-      case "mixed" =>
+      case TokenMode.Word  => addWordVec(rt, token, v)
+      case TokenMode.Ngram => addNgramVec(rt, token, v, 1.0f)
+      case TokenMode.Mixed =>
         addWordVec(rt, token, v)
         var i = 0; while (i < v.length) { v(i) *= 0.7f; i += 1 }
         addNgramVec(rt, token, v, 0.3f)
@@ -214,7 +207,7 @@ object Vectorizer extends Serializable {
     var tokens = Tokenizer.tokenize(sentence)
     if (spec.seqLen > 0 && tokens.length > spec.seqLen) tokens = tokens.take(spec.seqLen)
 
-    val acc = new Array[Float](rt.tokDim)
+    val acc = new Array[Float](spec.dim)
     var t = 0
     while (t < tokens.length) {
       val tv = tokenVec(rt, tokens(t))
@@ -227,16 +220,15 @@ object Vectorizer extends Serializable {
     }
 
     // Signal projection + family noise structure.
-    val sig = if (spec.family == "bert") java.util.Arrays.copyOf(acc, spec.sigDim) else acc
-    Det.normalize(sig)
-
     val sigma = spec.sigma * sigmaScale
     spec.family match {
-      case "static" | "sbert" =>
+      case Family.Static | Family.SBert =>
+        val sig = Det.normalize(acc)
         val n = Det.normalize(Det.uniformVec(noiseSeed, spec.dim))
         var i = 0; while (i < sig.length) { sig(i) += (sigma * n(i)).toFloat; i += 1 }
         Det.normalize(sig)
-      case "bert" =>
+      case Family.Bert =>
+        val sig = Det.normalize(java.util.Arrays.copyOf(acc, spec.sigDim))
         val out = new Array[Float](spec.dim)
         val inSig = Det.normalize(Det.uniformVec(Det.mix(noiseSeed), spec.sigDim))
         var i = 0
@@ -261,12 +253,5 @@ object Vectorizer extends Serializable {
     df.select("id", "sentence").as[(Long, String)]
       .map { case (id, s) => (id, Vectorizer.embed(modelCode, s, Det.seed(tagHash, id))) }
       .toDF("id", "vec")
-  }
-
-  /** Collect vectors as a driver-side map (small sides / tests). */
-  def vectorizeLocal(df: DataFrame, modelCode: String, noiseTag: String): Map[Long, Array[Float]] = {
-    val spark = df.sparkSession
-    import spark.implicits._
-    vectorize(df, modelCode, noiseTag).as[(Long, Array[Float])].collect().toMap
   }
 }

@@ -2,7 +2,7 @@ package repro.matching.supervised
 
 import org.apache.spark.sql.SparkSession
 import repro.data.{DsmProfile, SupervisedSynth}
-import repro.embed.{ModelSpec, Vectorizer}
+import repro.embed.{Family, ModelSpec, Vectorizer}
 import repro.util.Det
 
 /** Supervised matching harness (paper §4.3 / §5.3).
@@ -24,13 +24,13 @@ object SupervisedMatcher {
     * extra factor for XLNet's permutation-LM overhead; a flat bi-LSTM +
     * HighwayNet cost for the static models' DeepMatcher path.
     */
-  def encoderUnits(m: ModelSpec): Long =
-    if (m.isStatic) 17_000L
-    else {
+  def encoderUnits(m: ModelSpec): Long = m.family match {
+    case Family.Static => 17_000L
+    case Family.Bert | Family.SBert =>
       val layers = math.max(1, math.round(m.layers * m.costFactor).toInt)
       val base = layers.toLong * m.dim * 4
       if (m.code == "XT") (base * 1.5).toLong else base
-    }
+  }
 
   def run(spark: SparkSession, p: DsmProfile, model: ModelSpec,
           epochs: Int = 12, seed: Long = 7L): Result = {
@@ -41,7 +41,7 @@ object SupervisedMatcher {
     val nameHash = Det.strHash(p.name)
     // Fine-tuning adapts the dynamic encoders to the task, suppressing part
     // of their representation noise; static embeddings are frozen.
-    val sigmaScale = if (model.isStatic) 1.0 else 0.4
+    val sigmaScale = model.family match { case Family.Static => 1.0; case Family.Bert | Family.SBert => 0.4 }
 
     val t0 = System.nanoTime()
     // featurize on executors: embed both sentences, build pair features

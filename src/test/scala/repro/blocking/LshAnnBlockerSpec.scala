@@ -1,6 +1,5 @@
 package repro.blocking
 
-import org.apache.spark.sql.functions._
 import repro.SparkSpec
 import repro.data.FebrlSynth
 import repro.embed.Vectorizer

@@ -71,7 +71,7 @@ class FebrlSynthSpec extends SparkSpec {
   test("entities DataFrame has n rows with 12 attrs") {
     val df = FebrlSynth.entities(spark, 200)
     assert(df.count() == 200)
-    assert(df.select("attrs").head.getSeq[String](0).size == 12)
+    assert(df.select("attrs").head().getSeq[String](0).size == 12)
   }
 
   test("duplicatePairs count matches the block formula") {
@@ -100,7 +100,7 @@ class FebrlSynthSpec extends SparkSpec {
 
   test("average sentence length is in the Febrl ballpark (~84 chars)") {
     val df = FebrlSynth.entities(spark, 500)
-    val avgLen = df.agg(avg(length(col("sentence")))).head.getDouble(0)
+    val avgLen = df.agg(avg(length(col("sentence")))).head().getDouble(0)
     assert(avgLen > 60 && avgLen < 110, s"avg $avgLen")
   }
 

@@ -75,4 +75,19 @@ class ModelRegistrySpec extends AnyFunSuite {
     assert(betas("XT") > betas("BT") && betas("AT") > betas("BT"))
     assert(betas("DT") < betas("BT"))
   }
+
+  test("DESIGN.md §4's parameter table equals the registry, cell by cell") {
+    val src = scala.io.Source.fromFile("DESIGN.md", "UTF-8")
+    val section = try src.getLines().dropWhile(!_.startsWith("## 4.")).drop(1)
+      .takeWhile(!_.startsWith("## ")).toList finally src.close()
+    val rows = section.map(_.split('|').map(_.trim).toSeq.drop(1))
+      .filter(cells => cells.nonEmpty && ModelRegistry.byCode.contains(cells.head))
+    assert(rows.map(_.head) == ModelRegistry.all.map(_.code))
+    rows.foreach { cells =>
+      val m = ModelRegistry(cells.head)
+      assert(cells.size == 6, cells)
+      assert(cells.slice(1, 3) == Seq(m.family.toString, m.tokenMode.toString), cells)
+      assert(cells.drop(3).map(_.toDouble) == Seq(m.sigma, m.beta, m.knowP), cells)
+    }
+  }
 }
